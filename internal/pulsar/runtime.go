@@ -94,6 +94,13 @@ func (s *VSA) Run() error {
 	s.alive.Store(int64(alive))
 	s.running.Store(true)
 	defer s.running.Store(false)
+	// Abort stops private workers only once running is set. One that
+	// landed before the Store above skipped that stop, and these workers
+	// never look at aborted, so stop them here; whichever side comes
+	// second sees the other's flag.
+	if s.aborted.Load() && !pooled {
+		s.stopAll()
+	}
 
 	// When the communicator can report peer deaths, a dead peer aborts the
 	// run immediately — the deterministic alternative to waiting out the

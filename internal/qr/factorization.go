@@ -140,9 +140,7 @@ func (f *Factorization) SolveFromQTB() *matrix.Mat {
 
 // Residual returns ‖AᵀA − RᵀR‖_F / ‖AᵀA‖_F for the original dense matrix
 // a, a cheap factorization-quality check that does not require forming Q.
+// It runs GramResidual inline.
 func (f *Factorization) Residual(a *matrix.Mat) float64 {
-	r := f.R()
-	ata := a.Transpose().Mul(a)
-	rtr := r.Transpose().Mul(r)
-	return ata.Sub(rtr).FrobNorm() / ata.FrobNorm()
+	return GramResidual(a, f.R(), nil)
 }

@@ -1,12 +1,10 @@
 package qr
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"pulsarqr/internal/matrix"
-	"pulsarqr/internal/scalapack"
 )
 
 func TestPlanFlatInterStructure(t *testing.T) {
@@ -110,27 +108,5 @@ func TestQFullOrthogonal(t *testing.T) {
 	// The thin Q is the first n columns of the full Q.
 	if diff := matrix.MaxAbsDiff(q.View(0, 0, m, n), f.Q()); diff > 1e-12 {
 		t.Fatalf("thin/full Q mismatch: %v", diff)
-	}
-}
-
-// TestCrossValidateAgainstBlockQR compares the tree-based tile QR against
-// the completely independent LAPACK-style block algorithm: |R| must agree
-// entrywise (R is unique up to row signs for a full-rank matrix).
-func TestCrossValidateAgainstBlockQR(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	m, n := 57, 18
-	d := matrix.NewRand(m, n, rng)
-	tile := factorDense(t, d, Options{NB: 8, IB: 4, Tree: HierarchicalTree, H: 3})
-	block, err := scalapack.Factorize(d.Clone(), 6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, rb := tile.R(), block.R()
-	for j := 0; j < n; j++ {
-		for i := 0; i <= j; i++ {
-			if diff := math.Abs(math.Abs(rt.At(i, j)) - math.Abs(rb.At(i, j))); diff > 1e-11 {
-				t.Fatalf("|R(%d,%d)| differs between tile and block QR by %v", i, j, diff)
-			}
-		}
 	}
 }

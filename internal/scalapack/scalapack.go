@@ -14,6 +14,7 @@ import (
 	"pulsarqr/internal/blas"
 	"pulsarqr/internal/kernels"
 	"pulsarqr/internal/matrix"
+	"pulsarqr/internal/qr"
 )
 
 // Factorization holds a block QR: A = Q·R with the reflectors packed below
@@ -127,9 +128,7 @@ func (f *Factorization) Solve(b *matrix.Mat, workers int) *matrix.Mat {
 }
 
 // Residual returns ‖AᵀA − RᵀR‖_F/‖AᵀA‖_F against the original matrix.
+// It is the tile QR's qr.GramResidual, run inline.
 func (f *Factorization) Residual(orig *matrix.Mat) float64 {
-	r := f.R()
-	ata := orig.Transpose().Mul(orig)
-	rtr := r.Transpose().Mul(r)
-	return ata.Sub(rtr).FrobNorm() / ata.FrobNorm()
+	return qr.GramResidual(orig, f.R(), nil)
 }

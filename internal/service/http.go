@@ -93,7 +93,7 @@ func viewOf(j *Job, includeR bool) JobView {
 		v.Messages = r.Stats.Messages
 		v.Bytes = r.Stats.Bytes
 		if includeR {
-			v.R = r.R
+			v.R = r.R()
 		}
 	}
 	return v

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/obs"
 	"pulsarqr/internal/plan"
 	"pulsarqr/internal/qr"
@@ -40,7 +41,41 @@ type Result struct {
 	Residual float64
 	OK       bool // residual passed the service's acceptance threshold
 	Stats    qr.RunStats
-	R        [][]float64 // row-major rows of R, nil on non-root ranks
+	// upper is the n×n R's upper triangle packed row by row (row i holds
+	// columns i..n-1), nil on non-root ranks. Terminal results stay
+	// resident until evicted, so they keep half the bytes of dense rows.
+	upper []float64
+	n     int
+}
+
+// setR keeps the upper triangle of the n×n factor r on the result (see
+// Result.R).
+func (res *Result) setR(r *matrix.Mat) {
+	n := r.Rows
+	res.n = n
+	res.upper = make([]float64, 0, n*(n+1)/2)
+	for i := 0; i < n; i++ {
+		for c := i; c < n; c++ {
+			res.upper = append(res.upper, r.At(i, c))
+		}
+	}
+}
+
+// R returns the factor as row-major rows, zero below the diagonal, or nil
+// when the result carries none.
+func (res *Result) R() [][]float64 {
+	if res.upper == nil {
+		return nil
+	}
+	n := res.n
+	dense := make([]float64, n*n)
+	rows := make([][]float64, n)
+	off := 0
+	for i := range rows {
+		rows[i] = dense[i*n : (i+1)*n]
+		off += copy(rows[i][i:], res.upper[off:])
+	}
+	return rows
 }
 
 // Job is one admitted factorization request.

@@ -154,7 +154,11 @@ func (s *Server) machineModel() (mach simulate.Machine, measured bool) {
 	if est := s.obs.Estimator(); est != nil {
 		if a, b, ok := est.Aggregate(); ok {
 			mach.AlphaInter = a
-			mach.BetaInter = b
+			// β = 0 means the links showed no bandwidth signal, not that
+			// bandwidth is free: keep the baseline β then.
+			if b > 0 {
+				mach.BetaInter = b
+			}
 			measured = true
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"pulsarqr/internal/batch"
 	"pulsarqr/internal/blas"
 	"pulsarqr/internal/kernels"
-	"pulsarqr/internal/matrix"
 	"pulsarqr/internal/obs"
 	"pulsarqr/internal/plan"
 	"pulsarqr/internal/pulsar"
@@ -564,9 +563,10 @@ func (s *Server) runJob(j *Job) {
 	if norm == 0 {
 		norm = 1
 	}
-	res.Residual = f.Residual(dense) / norm
+	r := f.R()
+	res.Residual = qr.GramResidual(dense, r, s.pool) / norm
 	res.OK = res.Residual <= residualTol
-	res.R = rRows(f.R())
+	res.setR(r)
 	if rec != nil {
 		// The gather must precede stopRelay: the job session is still live
 		// and agents are blocked sending their shards toward rank 0.
@@ -743,20 +743,4 @@ func (s *Server) Close() {
 		}
 		s.pool.Close()
 	})
-}
-
-// rRows converts the R factor to row-major rows for the JSON surface.
-func rRows(r *matrix.Mat) [][]float64 {
-	if r == nil {
-		return nil
-	}
-	rows := make([][]float64, r.Rows)
-	for i := range rows {
-		row := make([]float64, r.Cols)
-		for c := 0; c < r.Cols; c++ {
-			row[c] = r.At(i, c)
-		}
-		rows[i] = row
-	}
-	return rows
 }

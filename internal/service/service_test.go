@@ -98,7 +98,7 @@ func TestServerConcurrentJobsOracle(t *testing.T) {
 		if !res.OK {
 			t.Errorf("job %d residual %g above tolerance", i, res.Residual)
 		}
-		checkResultR(t, j.Spec.Tree, res.R, oracleR(t, specs[i]))
+		checkResultR(t, j.Spec.Tree, res.R(), oracleR(t, specs[i]))
 	}
 	if got := s.metrics.Completed.Load(); got != int64(len(specs)) {
 		t.Errorf("completed = %d, want %d", got, len(specs))
@@ -127,7 +127,52 @@ func TestServerUploadedMatrix(t *testing.T) {
 	if state, msg := j.State(); state != StateDone {
 		t.Fatalf("state = %s (%s)", state, msg)
 	}
-	checkResultR(t, "upload", j.Result().R, oracleR(t, spec))
+	checkResultR(t, "upload", j.Result().R(), oracleR(t, spec))
+}
+
+// An all-zero upload factors exactly (R = 0) and must verify as ok, while a
+// non-finite entry must never pass the residual check.
+func TestServerZeroAndNonFiniteUploads(t *testing.T) {
+	s, err := NewServer(Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	run := func(data []float64) *Result {
+		t.Helper()
+		j, err := s.Submit(JobSpec{M: 256, N: 64, NB: 64, IB: 16, Data: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if state, msg := j.State(); state != StateDone {
+			t.Fatalf("state = %s (%s)", state, msg)
+		}
+		return j.Result()
+	}
+
+	zero := run(make([]float64, 256*64))
+	if !zero.OK || zero.Residual != 0 {
+		t.Errorf("all-zero upload: ok %v, residual %v", zero.OK, zero.Residual)
+	}
+	if len(zero.R()) != 64 {
+		t.Fatalf("all-zero upload: R has %d rows", len(zero.R()))
+	}
+	for i, row := range zero.R() {
+		for c, v := range row {
+			if v != 0 {
+				t.Fatalf("all-zero upload: R(%d,%d) = %v", i, c, v)
+			}
+		}
+	}
+
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		d := matrix.NewRand(256, 64, rand.New(rand.NewSource(12))).Data
+		d[300] = v
+		if res := run(d); res.OK {
+			t.Errorf("upload with %v: ok with residual %v", v, res.Residual)
+		}
+	}
 }
 
 // Full HTTP round-trip: submit-and-wait, fetch with R, reject invalid
@@ -321,7 +366,7 @@ func TestServerFleet(t *testing.T) {
 		if !j.Result().OK {
 			t.Errorf("fleet job %d residual %g", i, j.Result().Residual)
 		}
-		checkResultR(t, "fleet", j.Result().R, oracleR(t, specs[i]))
+		checkResultR(t, "fleet", j.Result().R(), oracleR(t, specs[i]))
 	}
 	s.Close()
 	select {
@@ -396,7 +441,7 @@ func TestServerFleetCancelReleasesWorkers(t *testing.T) {
 		if state, msg := j.State(); state != StateDone {
 			t.Fatalf("post-cancel job %d state = %s (%s)", i, state, msg)
 		}
-		checkResultR(t, "post-cancel", j.Result().R, oracleR(t, spec))
+		checkResultR(t, "post-cancel", j.Result().R(), oracleR(t, spec))
 	}
 	s.Close()
 	select {
